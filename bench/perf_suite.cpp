@@ -110,6 +110,7 @@ struct PushMicroResult {
   uint32_t writers = 0;
   bool combined = false;
   uint64_t items = 0;
+  uint64_t consumed = 0;  // items the manager scanned out; must equal items
   double wall_ms = 0;
   double pushes_per_s = 0;
   double atomics_per_push = 0;
@@ -117,7 +118,9 @@ struct PushMicroResult {
 
 /// N writers push `items_per_writer` each into one bucket; a manager
 /// thread keeps capacity ahead and consumes/recycles behind, so the run
-/// exercises the steady-state protocol, not an unbounded array fill.
+/// exercises the steady-state protocol, not an unbounded array fill. The
+/// manager's consumed count is returned so the caller can reject a run in
+/// which the scan handed out more (or fewer) slots than were pushed.
 PushMicroResult run_push_micro(uint32_t writers, uint64_t items_per_writer,
                                bool combined, uint32_t batch) {
   constexpr uint32_t kBlockWords = 4096;
@@ -131,9 +134,9 @@ PushMicroResult run_push_micro(uint32_t writers, uint64_t items_per_writer,
   const uint64_t total = uint64_t(writers) * items_per_writer;
   std::atomic<bool> writers_done{false};
   std::atomic<uint64_t> publish_ops{0};
+  uint64_t consumed = 0;  // manager-private until manager.join()
 
   std::thread manager([&] {
-    uint64_t consumed = 0;
     while (true) {
       bucket.ensure_capacity(4 * kBlockWords);
       const uint32_t bound = bucket.scan_written_bound();
@@ -185,6 +188,7 @@ PushMicroResult run_push_micro(uint32_t writers, uint64_t items_per_writer,
   r.writers = writers;
   r.combined = combined;
   r.items = total;
+  r.consumed = consumed;
   r.wall_ms = wall_ms;
   r.pushes_per_s = double(total) / (wall_ms / 1e3);
   // One resv_ptr fetch-add per push/flush + the counted WCC increments.
@@ -376,6 +380,8 @@ int main(int argc, char** argv) {
   const uint32_t batch = uint32_t(std::max<int64_t>(2, cli.integer("batch")));
 
   // --- Push micro -----------------------------------------------------------
+  // Each section announces itself on unbuffered stderr before it runs, so a
+  // crash still shows (under ctest too) which section it reached.
   const uint64_t per_writer = smoke ? 100'000 : 400'000;
   std::vector<PushMicroResult> micro;
   TextTable micro_table("Contended multi-writer push (single vs combined)");
@@ -383,10 +389,22 @@ int main(int argc, char** argv) {
                           "speedup"});
   double best_single = 0, best_combined = 0;
   for (const uint32_t writers : {1u, 2u, 4u}) {
+    std::fprintf(stderr, "[perf] push micro, %u writers\n", writers);
     PushMicroResult single, comb;
     for (uint32_t rep = 0; rep < reps; ++rep) {
       const auto s = run_push_micro(writers, per_writer, false, batch);
       const auto c = run_push_micro(writers, per_writer, true, batch);
+      for (const auto& m : {s, c}) {
+        if (m.consumed != m.items) {
+          std::fprintf(stderr,
+                       "FATAL: push micro (writers=%u %s) consumed %llu "
+                       "items, pushed %llu\n",
+                       writers, m.combined ? "combined" : "single",
+                       (unsigned long long)m.consumed,
+                       (unsigned long long)m.items);
+          return 1;
+        }
+      }
       if (s.pushes_per_s > single.pushes_per_s) single = s;
       if (c.pushes_per_s > comb.pushes_per_s) comb = c;
     }
@@ -413,6 +431,7 @@ int main(int argc, char** argv) {
 
   // --- Handoff latency ------------------------------------------------------
   const uint32_t handoff_rounds = smoke ? 300 : 2000;
+  std::fprintf(stderr, "[perf] handoff micro\n");
   const auto handoff_poll = run_handoff_micro(false, handoff_rounds);
   const auto handoff_event = run_handoff_micro(true, handoff_rounds);
   TextTable handoff_table(
@@ -439,6 +458,7 @@ int main(int argc, char** argv) {
   };
   std::vector<InlineAB> inline_ab;
   {
+    std::fprintf(stderr, "[perf] manager-inline A/B\n");
     const auto g = make_grid_road<uint32_t>(smoke ? 48 : 128,
                                             smoke ? 48 : 128,
                                             {WeightDist::kUniform, 100}, 5);

@@ -520,6 +520,22 @@ uint64_t tenant_chaos_round(uint64_t round, uint64_t seed, bool smoke,
     if (violations == 1) dump_flight(svc);
   };
 
+  // Publishing queued a cold landmark-table build per tenant, and a build
+  // runs in its tenant's fault domain. Let them finish before arming: a
+  // victim build still in flight would take the plan's drop budget itself,
+  // leaving the victim's queries unbitten.
+  const auto tables_settled = [&] {
+    const auto rep = svc.report();
+    if (rep.landmark_builds_pending > 0) return false;
+    for (const auto& ts : rep.tenants)
+      if (ts.oracle_status == LandmarkTableStatus::kBuilding) return false;
+    return true;
+  };
+  if (!poll_until(tables_settled, 30000)) {
+    violation("landmark builds never settled before the chaos burst");
+    return violations;
+  }
+
   // Phase A — scoped chaos burst. The plan only fires inside the victim's
   // fault domain: its queries wedge and stall, the survivors' solves (and
   // the rebuilder's probes, which run in domain 0) never see it.

@@ -189,14 +189,21 @@ uint32_t Bucket::realign_drained() noexcept {
 }
 
 uint32_t Bucket::scan_written_bound() noexcept {
+  // Walk no further than min(resv_ptr, alloc_limit): WCCs at or above
+  // alloc_limit alias an earlier window (see the header). Only the manager
+  // stores alloc_limit_, hence the relaxed load.
   const uint32_t resv = resv_ptr_.load(std::memory_order_acquire);
+  const uint32_t alloc = alloc_limit_.load(std::memory_order_relaxed);
+  const uint32_t limit = wrap_lt(alloc, resv) ? alloc : resv;
   uint32_t bound = read_ptr_;
-  while (wrap_lt(bound, resv)) {
+  while (wrap_lt(bound, limit)) {
     const uint32_t seg_base = bound & ~(segment_words_ - 1);
     const uint32_t wcc = wcc_[wcc_slot(bound)].load(std::memory_order_acquire);
     if (wcc == segment_words_) {
-      // Fully written segment. WCC == N implies N reservations in this
-      // segment, so seg_base + N <= resv and the advance cannot overshoot.
+      // Fully written segment. Below alloc_limit the WCC is this segment's
+      // own (zeroed when its block was mapped), so WCC == N implies N
+      // reservations in it: seg_base + N <= resv. alloc_limit is block
+      // aligned, so seg_base + N <= alloc too; the advance cannot overshoot.
       bound = seg_base + segment_words_;
       continue;
     }

@@ -10,13 +10,20 @@
 //     item and *publishes* it by incrementing the Write-Completed Counter
 //     (WCC) of the N-word segment the slot belongs to (release ordering).
 //   * ONE manager thread (MTB) reads: it never touches items directly from
-//     racing writers; it walks segment WCCs from `read_ptr` to compute a
-//     bound below which every slot is known fully written (a segment with
-//     WCC == N is complete; a partial segment is complete exactly when
-//     segment_base + WCC == resv_ptr re-read after a fence), then hands
-//     [read_ptr, bound) ranges out to workers.
+//     racing writers; it walks segment WCCs from `read_ptr` up to
+//     min(resv_ptr, alloc_limit) to compute a bound below which every slot
+//     is known fully written (a segment with WCC == N is complete; a
+//     partial segment is complete exactly when segment_base + WCC ==
+//     resv_ptr re-read after a fence), then hands [read_ptr, bound) ranges
+//     out to workers. WCC slots alias with a period of one translation
+//     window (table_size * block_words slots) and are zeroed only when the
+//     block holding them is mapped, so a counter at or above alloc_limit
+//     may still hold the count of the segment one window earlier. While
+//     writers are starved resv_ptr exceeds alloc_limit, hence the scan
+//     never walks past alloc_limit.
 //   * Writers never wait for each other; writers wait for the manager only
 //     when storage has not been allocated ahead of them (back-pressure).
+//     offer_batch() writers decline instead of waiting (governed engines).
 //   * A Completed-Work Counter (CWC) counts items whose processing has
 //     finished; the bucket is retire-able when CWC == resv_ptr (re-checked
 //     after a fence) and everything written has been read.
@@ -145,6 +152,40 @@ class Bucket {
     return publish(start, count);
   }
 
+  /// Returned by offer_batch() when capacity did not cover the batch: no
+  /// slot was reserved and the caller still owns every item.
+  static constexpr uint32_t kDeclined = 0xffffffffu;
+
+  /// Non-blocking push_batch for writers of a governed engine: reserves
+  /// (CAS on resv_ptr) only while `alloc_limit` already covers the whole
+  /// batch, so a worker never parks on capacity the pool may be unable to
+  /// back while its own in-flight assignment pins the blocks that would
+  /// free it. Returns kDeclined without reserving anything otherwise; the
+  /// caller hands the items to the manager's spill store instead.
+  ///
+  /// The reservation RMW is seq_cst and followed by wait_allocated's
+  /// seq_cst coverage load — the writer half of the shrink_capacity
+  /// handshake. Only a shrink landing between the pre-check and the CAS
+  /// can leave the claim uncovered; the writer then waits like any
+  /// under-capacity writer. Otherwise behaves as push_batch: same fault
+  /// sites, same return values (0 when the batch was dropped).
+  uint32_t offer_batch(const uint32_t* items, uint32_t count) noexcept {
+    if (count == 0) return 0;
+    uint32_t start = resv_ptr_.load(std::memory_order_relaxed);
+    do {
+      if (wrap_lt(alloc_limit_.load(std::memory_order_seq_cst),
+                  start + count))
+        return kDeclined;
+    } while (!resv_ptr_.compare_exchange_weak(start, start + count,
+                                              std::memory_order_seq_cst,
+                                              std::memory_order_relaxed));
+    if (!wait_allocated(start + count)) return 0;
+    if (fault::fire(fault::Site::kPushDropBeforePublish)) return 0;
+    for (uint32_t i = 0; i < count; ++i) write(start + i, items[i]);
+    fault::delay(fault::Site::kPushDelay, abort_flag_);
+    return publish(start, count);
+  }
+
   /// Work completion: processing of `count` previously assigned items done.
   void complete(uint32_t count) noexcept {
     cwc_.fetch_add(count, std::memory_order_release);
@@ -221,6 +262,10 @@ class Bucket {
 
   /// Computes the largest index bound such that every slot in
   /// [read_ptr, bound) is known fully written. Does not modify read_ptr.
+  /// The walk is limited to min(resv_ptr, alloc_limit): resv_ptr may run
+  /// past alloc_limit while writers are starved, and the WCC of a segment
+  /// at or above alloc_limit aliases the (possibly full) segment one
+  /// translation window earlier, so it proves nothing about this one.
   uint32_t scan_written_bound() noexcept;
 
   /// Marks [read_ptr, new_read) as handed out to workers.

@@ -26,6 +26,11 @@
 //   * After WorkQueue::request_abort() a flush drops its items, exactly
 //     like the single-item kPushAborted no-op; results are being
 //     discarded anyway.
+//   * With a deferred sink set (governed engines), a flush the target
+//     bucket cannot cover is declined and the lane's items go to the sink
+//     instead. They are live work that no bucket holds, so they must
+//     reach the manager with the assignment's completion (the host engine
+//     drains the sink when it harvests the worker's idle flag).
 //
 // Batched multi-source solves add a lane-binning multisplit on the flush
 // path (the host analog of the GPU multisplit primitive): when the query
@@ -60,6 +65,7 @@ struct CombinerStats {
   uint64_t reserve_ops = 0;    // resv_ptr fetch-adds issued
   uint64_t publish_ops = 0;    // WCC fetch-adds issued
   uint64_t lane_splits = 0;    // multisplit passes (batched queries only)
+  uint64_t deferred = 0;       // items declined by offer_batch, deferred
 };
 
 class PushCombiner {
@@ -80,6 +86,14 @@ class PushCombiner {
 
   uint32_t lane_capacity() const noexcept { return capacity_; }
   uint32_t query_lanes() const noexcept { return query_lanes_; }
+
+  /// Non-blocking flushes (governed engines): with a sink set, a flush
+  /// goes through WorkQueue::offer_batch and a declined lane is appended
+  /// to `sink` (each item with the lane's representative distance)
+  /// instead of parking on capacity. nullptr restores blocking flushes.
+  void set_deferred_sink(std::vector<WorkQueue::DeferredPush>* sink) noexcept {
+    sink_ = sink;
+  }
 
   /// Stages one item under the current window snapshot; flushes the lane
   /// when it reaches capacity.
@@ -157,7 +171,16 @@ class PushCombiner {
     if (lane.count == 0) return;
     if (query_lanes_ > 1 && lane.count > 1) multisplit(lane);
     const WorkQueue::BatchToken t =
-        queue_.push_batch(lane.items.data(), lane.count, lane.rep_dist);
+        sink_ != nullptr
+            ? queue_.offer_batch(lane.items.data(), lane.count, lane.rep_dist)
+            : queue_.push_batch(lane.items.data(), lane.count, lane.rep_dist);
+    if (t.declined) {
+      for (uint32_t i = 0; i < lane.count; ++i)
+        sink_->push_back({lane.items[i], lane.rep_dist});
+      stats_.deferred += lane.count;
+      lane.count = 0;
+      return;
+    }
     ++stats_.flushes;
     stats_.reserve_ops += t.reserved ? 1 : 0;
     stats_.publish_ops += t.publish_ops;
@@ -171,6 +194,7 @@ class PushCombiner {
   const uint32_t query_lanes_;
   std::vector<Lane> lanes_;
   std::vector<uint32_t> scratch_;  // multisplit scatter target
+  std::vector<WorkQueue::DeferredPush>* sink_ = nullptr;
   CombinerStats stats_;
 };
 

@@ -71,12 +71,8 @@ class WorkQueue {
   /// aborted queue is in teardown and must not accept new publications.
   uint32_t push(uint32_t item, double dist) noexcept {
     if (abort_.load(std::memory_order_acquire)) return kPushAborted;
-    const uint64_t pos = params_.position.load(std::memory_order_acquire);
-    const double base = params_.base_dist.load(std::memory_order_relaxed);
-    const double delta = params_.delta.load(std::memory_order_relaxed);
-    const uint32_t logical =
-        logical_index(dist, base, delta, num_buckets());
-    physical(pos, logical).push(item);
+    uint32_t logical = 0;
+    target(dist, logical).push(item);
     return logical;
   }
 
@@ -87,6 +83,16 @@ class WorkQueue {
     uint32_t published = 0;    // items published (0 when the batch dropped)
     uint32_t publish_ops = 0;  // WCC increments performed
     bool reserved = false;     // a resv_ptr fetch-add was issued
+    bool declined = false;     // offer_batch only: no capacity, not taken
+  };
+
+  /// A push a governed engine's worker could not place (offer_batch
+  /// declined it). The worker keeps it until its assignment ends; the
+  /// manager then publishes it itself, or spills it at the band `dist`
+  /// maps to when the pool has no block left.
+  struct DeferredPush {
+    uint32_t item = 0;
+    double dist = 0.0;
   };
 
   /// Pushes `count` items that share one priority band in a single
@@ -103,13 +109,29 @@ class WorkQueue {
     BatchToken t;
     if (count == 0) return t;
     if (abort_.load(std::memory_order_acquire)) return t;
-    const uint64_t pos = params_.position.load(std::memory_order_acquire);
-    const double base = params_.base_dist.load(std::memory_order_relaxed);
-    const double delta = params_.delta.load(std::memory_order_relaxed);
-    t.logical = logical_index(dist, base, delta, num_buckets());
     t.reserved = true;
-    t.publish_ops = physical(pos, t.logical).push_batch(items, count);
+    t.publish_ops = target(dist, t.logical).push_batch(items, count);
     if (t.publish_ops > 0) t.published = count;
+    return t;
+  }
+
+  /// push_batch for governed engines' workers, on Bucket::offer_batch: a
+  /// batch the target bucket cannot cover right now is declined
+  /// (`declined`, nothing reserved) instead of parking the writer. The
+  /// caller keeps the items and defers them (DeferredPush).
+  BatchToken offer_batch(const uint32_t* items, uint32_t count,
+                         double dist) noexcept {
+    BatchToken t;
+    if (count == 0) return t;
+    if (abort_.load(std::memory_order_acquire)) return t;
+    const uint32_t ops = target(dist, t.logical).offer_batch(items, count);
+    if (ops == Bucket::kDeclined) {
+      t.declined = true;
+      return t;
+    }
+    t.reserved = true;
+    t.publish_ops = ops;
+    if (ops > 0) t.published = count;
     return t;
   }
 
@@ -207,6 +229,16 @@ class WorkQueue {
  private:
   Bucket& physical(uint64_t pos, uint32_t logical) noexcept {
     return *buckets_[(pos + logical) % buckets_.size()];
+  }
+
+  /// The bucket a writer's push of `dist` lands in, under a racy snapshot
+  /// of the window parameters; the logical index used goes to `logical`.
+  Bucket& target(double dist, uint32_t& logical) noexcept {
+    const uint64_t pos = params_.position.load(std::memory_order_acquire);
+    const double base = params_.base_dist.load(std::memory_order_relaxed);
+    const double delta = params_.delta.load(std::memory_order_relaxed);
+    logical = logical_index(dist, base, delta, num_buckets());
+    return physical(pos, logical);
   }
 
   std::vector<std::unique_ptr<Bucket>> buckets_;

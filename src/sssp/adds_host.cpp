@@ -60,6 +60,12 @@ struct WorkerContext {
   AtomicDistArray<DistT<W>>* dist = nullptr;
   AssignmentFlag* flag = nullptr;
   uint32_t combine_capacity = 0;  // 0: single-item pushes (combining off)
+  // Governed runs: pushes go through WorkQueue::offer_batch, and a push
+  // the target bucket cannot cover lands in `deferred` instead of parking
+  // the worker. Written by the worker during an assignment; the manager
+  // drains it after observing the worker's flag idle (release/acquire).
+  bool defer_when_full = false;
+  std::vector<WorkQueue::DeferredPush> deferred;
   uint64_t fault_domain = 0;      // query's fault domain (util/fault.hpp)
   // Batched multi-source state (null/1 for classic single-source solves).
   // Work items carry their lane in the top bits; dist/parent are lane-major
@@ -118,6 +124,9 @@ void worker_main(WorkerContext<W>& ctx) {
                combiner->query_lanes() != ctx.num_lanes) {
       combiner.emplace(queue, ctx.combine_capacity, ctx.num_lanes);
     }
+    if (combiner)
+      combiner->set_deferred_sink(ctx.defer_when_full ? &ctx.deferred
+                                                      : nullptr);
 
     // Injected worker stall: the assignment sits un-processed (in-flight),
     // exactly like a preempted/wedged WTB. Bounded and abort-observing.
@@ -178,6 +187,15 @@ void worker_main(WorkerContext<W>& ctx) {
             ctx.lane_pushed[lane].fetch_add(1, std::memory_order_relaxed);
           if (combiner) {
             combiner->push(out, double(nd));
+          } else if (ctx.defer_when_full) {
+            const WorkQueue::BatchToken t =
+                queue.offer_batch(&out, 1, double(nd));
+            if (t.declined) {
+              ctx.deferred.push_back({out, double(nd)});
+            } else if (t.reserved) {
+              ++ctx.stats.queue_reserve_ops;
+              ctx.stats.queue_publish_ops += t.publish_ops;
+            }
           } else if (queue.push(out, double(nd)) != WorkQueue::kPushAborted) {
             ++ctx.stats.queue_reserve_ops;
             ++ctx.stats.queue_publish_ops;
@@ -505,6 +523,8 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
     contexts_[i].dist = &dist;
     contexts_[i].combine_capacity =
         opts.write_combining ? opts.combine_capacity : 0;
+    contexts_[i].defer_when_full = opts.pool_governor;
+    contexts_[i].deferred.clear();  // an aborted run may have left items
     contexts_[i].fault_domain = ctl.fault_domain;
     contexts_[i].num_lanes = num_lanes;
     contexts_[i].lane_dead = lane_dead.get();
@@ -696,8 +716,23 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
   // Replays spilled items whose band the window has reached (or, when
   // `force`, any items — the endgame where only spilled work remains)
   // into the head bucket. Uses the manager-only non-blocking push: the
-  // manager must never wait on capacity that it alone can map. Items a
-  // dry pool cannot take back stay spilled for a later sweep.
+  // manager must never wait on capacity that it alone can map. Each batch
+  // is cut to the head's writable room, so a head with a little slack left
+  // on a dry pool still takes what fits. With no room at all, capacity
+  // parked ahead of demand on the other buckets is handed back first
+  // (shrink is safe against racing writers). Items a dry pool cannot take
+  // back stay spilled for a later sweep.
+  const auto head_room = [&](uint32_t want) {
+    Bucket& head = queue.logical_bucket(0);
+    if (head.writable_slack() < want)
+      head.ensure_capacity(2 * want, /*best_effort=*/true);
+    if (head.writable_slack() == 0) {
+      for (uint32_t l = 1; l < opts.num_buckets; ++l)
+        queue.logical_bucket(l).shrink_capacity(0);
+      head.ensure_capacity(2 * want, /*best_effort=*/true);
+    }
+    return head.writable_slack();
+  };
   const auto replay_pass = [&](bool force) {
     if (spill.empty() || queue.aborted()) return uint64_t{0};
     Bucket& head = queue.logical_bucket(0);
@@ -705,26 +740,23 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
     uint64_t replayed = 0;
     for (;;) {
       if (!(force ? !spill.empty() : spill.ready(head_band))) break;
+      const uint32_t room = head_room(opts.chunk_items);
+      if (room == 0) break;
+      const uint32_t want = std::min(opts.chunk_items, room);
       replay_buf.clear();
       const auto take = [&](uint32_t v) { replay_buf.push_back(v); };
       if (force)
-        spill.drain_any(opts.chunk_items, take);
+        spill.drain_any(want, take);
       else
-        spill.drain_ready(head_band, opts.chunk_items, take);
+        spill.drain_ready(head_band, want, take);
       if (replay_buf.empty()) break;
       const uint32_t n = uint32_t(replay_buf.size());
-      if (head.writable_slack() < n)
-        head.ensure_capacity(2 * n, /*best_effort=*/true);
-      uint32_t ops = head.try_push_batch(replay_buf.data(), n);
+      // Racing workers may consume the room between the check and the
+      // reservation CAS; then the batch waits for a later sweep.
+      const uint32_t ops = head.try_push_batch(replay_buf.data(), n);
       if (ops == 0) {
-        // Racing workers consumed the slack between the check and the
-        // reservation CAS; map once more and retry.
-        head.ensure_capacity(2 * n, /*best_effort=*/true);
-        ops = head.try_push_batch(replay_buf.data(), n);
-      }
-      if (ops == 0) {
-        // The pool cannot back the batch right now: keep the items
-        // spilled (parked at the head band so they stay ready).
+        // Keep the items spilled (parked at the head band so they stay
+        // ready) until a later sweep finds room.
         for (uint32_t v : replay_buf) spill.add(head_band, v);
         break;
       }
@@ -745,15 +777,15 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
   // the manager must never park in wait_allocated on capacity that only it
   // can map — with leftovers spilled to the heap store (governed mode
   // only, which is why the feature is gated on the governor).
-  std::vector<std::pair<uint32_t, double>> inline_out;
+  std::vector<WorkQueue::DeferredPush> inline_out;
   std::vector<uint32_t> inline_batch;
   const auto inline_flush_pushes = [&]() {
     while (!inline_out.empty()) {
       const double base = queue.base_dist();
       const double delta = queue.delta();
-      // Peel one logical bucket's worth per round; ranges are tiny.
+      // Peel one logical bucket's worth per round.
       const uint32_t want = WorkQueue::logical_index(
-          inline_out.front().second, base, delta, opts.num_buckets);
+          inline_out.front().dist, base, delta, opts.num_buckets);
       inline_batch.clear();
       size_t kept = 0;
       for (const auto& [v, d] : inline_out) {
@@ -784,6 +816,20 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
         r.work.queue_publish_ops += ops;
       }
     }
+  };
+  // Deferred worker pushes: items a governed worker could not place (its
+  // target bucket had no capacity) are live work that no bucket holds.
+  // Harvesting the worker's flag hands them to the manager's own push
+  // path above: mapped into their bucket where the pool still has blocks,
+  // spilled at their band where it does not (termination waits for the
+  // spill store to empty).
+  const auto take_deferred = [&](uint32_t w) {
+    std::vector<WorkQueue::DeferredPush>& d = contexts_[w].deferred;
+    if (d.empty()) return;
+    r.health.deferred_pushes += d.size();
+    inline_out.insert(inline_out.end(), d.begin(), d.end());
+    d.clear();
+    inline_flush_pushes();
   };
   const auto inline_execute = [&](Bucket& b, uint32_t logical,
                                   uint32_t count) {
@@ -821,9 +867,9 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
           ++r.work.pushes;
           if (mgr_pushed != nullptr)
             mgr_pushed[lane].fetch_add(1, std::memory_order_relaxed);
-          inline_out.emplace_back(
-              num_lanes > 1 ? lane_encode(lane, uint32_t(v)) : uint32_t(v),
-              double(nd));
+          inline_out.push_back(
+              {num_lanes > 1 ? lane_encode(lane, uint32_t(v)) : uint32_t(v),
+               double(nd)});
         }
       }
       if (mgr_popped != nullptr)
@@ -914,6 +960,7 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
       if (tracks[i].active && flags_[i].is_idle()) {
         frontiers[tracks[i].a.phys_bucket].complete(tracks[i].a);
         tracks[i].active = false;
+        take_deferred(i);
         ++harvested;
       }
     }
@@ -1074,8 +1121,11 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
     // nothing in flight, every worker idle) — and, under governance, an
     // empty spill store: heap-resident items are still live work, so the
     // endgame force-replays them before the queue may be declared done.
+    // A worker counts as idle only once harvested: its deferred pushes
+    // must be in the spill store before the store's emptiness is judged.
     bool all_idle = true;
-    for (auto& flag : flags_) all_idle &= flag.is_idle();
+    for (uint32_t i = 0; i < opts.num_workers; ++i)
+      all_idle &= flags_[i].is_idle() && !tracks[i].active;
     bool all_drained = true;
     for (uint32_t i = 0; i < opts.num_buckets; ++i)
       all_drained &= queue.physical_bucket(i).drained();

@@ -41,7 +41,8 @@ struct QueueHealth {
   uint32_t min_free_blocks = 0;      // allocator low-water mark
   PoolPressure peak_pressure = PoolPressure::kNone;
   uint64_t spill_events = 0;         // governor spill sweeps
-  uint64_t spilled_items = 0;        // items moved slab -> heap
+  uint64_t spilled_items = 0;        // items moved to the heap store
+  uint64_t deferred_pushes = 0;      // worker pushes a full bucket declined
   uint64_t replayed_items = 0;       // items pushed back from the heap
   uint64_t spill_peak_items = 0;     // heap-resident item high-water mark
   uint64_t spilled_blocks_freed = 0; // blocks recycled by spill sweeps

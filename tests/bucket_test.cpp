@@ -3,6 +3,8 @@
 // completion/retirement, block recycling, and 32-bit index wrap-around.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "queue/bucket.hpp"
 #include "queue/wrap.hpp"
 
@@ -143,6 +145,48 @@ TEST(Bucket, CapacityBoundedByTranslationTable) {
   b.retire();
   const uint32_t mapped = b.ensure_capacity(2 * kBlockWords);
   EXPECT_GT(mapped, 0u);
+}
+
+TEST(Bucket, ScanNeverPassesAllocLimitWhenWritersStarved) {
+  // WCC slots alias with a period of one translation window
+  // (table_size * block_words slots). With every mapped block full, the
+  // first segment at alloc_limit shares its WCC with the full segment at
+  // index 0, which still reads N. A writer that reserves past alloc_limit
+  // (and would park in wait_allocated) must not let the scan walk into
+  // that unmapped segment on the stale count.
+  BlockPool pool(8, kBlockWords);
+  Bucket b(pool, small_cfg());
+  b.ensure_capacity(4 * kBlockWords);
+  ASSERT_EQ(b.mapped_blocks(), 4u);
+  for (uint32_t i = 0; i < 4 * kBlockWords; ++i) b.push(i);
+  b.reserve(1);  // starved: resv_ptr = alloc_limit + 1
+  EXPECT_TRUE(b.writers_starved());
+  EXPECT_EQ(b.scan_written_bound(), 4 * kBlockWords);
+}
+
+TEST(Bucket, OfferBatchDeclinesWithoutReserving) {
+  // The governed engines' non-blocking push: a batch the mapped capacity
+  // covers is published like push_batch; one it does not cover is declined
+  // with no reservation, so the writer never parks and resv_ptr never runs
+  // past alloc_limit.
+  BlockPool pool(1, kBlockWords);
+  Bucket b(pool, small_cfg());
+  b.ensure_capacity(kBlockWords);
+  ASSERT_EQ(b.mapped_blocks(), 1u);
+  std::vector<uint32_t> items(kBlockWords);
+  for (uint32_t i = 0; i < kBlockWords; ++i) items[i] = 100 + i;
+
+  EXPECT_GT(b.offer_batch(items.data(), kBlockWords - 4), 0u);
+  EXPECT_EQ(b.offer_batch(items.data(), 5), Bucket::kDeclined);
+  EXPECT_EQ(b.resv_ptr_relaxed(), kBlockWords - 4);
+  EXPECT_FALSE(b.writers_starved());
+  EXPECT_GT(b.offer_batch(items.data() + kBlockWords - 4, 4), 0u);
+  EXPECT_EQ(b.offer_batch(items.data(), 1), Bucket::kDeclined);
+  EXPECT_EQ(b.resv_ptr_relaxed(), kBlockWords);
+
+  ASSERT_EQ(b.scan_written_bound(), kBlockWords);
+  for (uint32_t i = 0; i < kBlockWords; ++i)
+    EXPECT_EQ(b.read_item(i), 100 + i);
 }
 
 TEST(Bucket, IndexWrapAroundPreservesFifo) {

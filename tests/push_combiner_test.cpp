@@ -92,6 +92,36 @@ TEST(PushCombiner, AbortDropsStagedItems) {
   EXPECT_EQ(q.total_pending(), 0u);
 }
 
+TEST(PushCombiner, DeferredSinkTakesLanesTheQueueCannotCover) {
+  // Governed engines' workers flush through offer_batch: a lane whose
+  // bucket has room publishes as usual; a lane whose bucket has no mapped
+  // capacity goes to the sink, with nothing reserved and nothing lost.
+  BlockPool pool(32, 64);
+  WorkQueue q(pool, small_cfg());
+  q.set_delta(10.0);
+  q.logical_bucket(0).ensure_capacity(32);  // logical 1 stays unmapped
+
+  std::vector<WorkQueue::DeferredPush> sink;
+  PushCombiner comb(q, 64);
+  comb.set_deferred_sink(&sink);
+  comb.push(1, 5.0);   // logical 0
+  comb.push(2, 15.0);  // logical 1
+  comb.push(3, 16.0);  // logical 1
+  comb.flush_all();
+
+  EXPECT_EQ(q.pending_of(0), 1u);
+  EXPECT_EQ(q.logical_bucket(1).resv_ptr_relaxed(), 0u);
+  EXPECT_FALSE(q.logical_bucket(1).writers_starved());
+  ASSERT_EQ(sink.size(), 2u);
+  EXPECT_EQ(sink[0].item, 2u);
+  EXPECT_EQ(sink[1].item, 3u);
+  EXPECT_EQ(sink[0].dist, 15.0);  // the lane's representative distance
+  EXPECT_EQ(comb.stats().deferred, 2u);
+  EXPECT_EQ(comb.stats().flushed_items, 1u);
+  EXPECT_EQ(comb.stats().dropped, 0u);
+  EXPECT_EQ(comb.staged_pending(), 0u);
+}
+
 TEST(PushCombiner, DroppedBatchPublicationWedgesScanLikeCrashedWriter) {
   // `push.drop-before-publish` firing inside a batch flush must abandon
   // the whole reservation unpublished: the manager's segment scan wedges

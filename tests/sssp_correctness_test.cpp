@@ -13,8 +13,12 @@
 namespace adds {
 namespace {
 
+// gtest prints a parameter without a printer as its raw bytes, and those
+// bytes end up in the test's name; the explicit zeroed padding keeps the
+// name the same from one run to the next.
 struct Case {
   SolverKind solver;
+  uint8_t pad[sizeof(size_t) - sizeof(SolverKind)] = {};
   size_t graph_index;
 };
 
@@ -67,7 +71,7 @@ std::vector<Case> all_cases() {
        {SolverKind::kAdds, SolverKind::kAddsHost, SolverKind::kNf,
         SolverKind::kGunNf, SolverKind::kGunBf, SolverKind::kNv,
         SolverKind::kCpuDs}) {
-    for (size_t i = 0; i < n; ++i) cases.push_back({k, i});
+    for (size_t i = 0; i < n; ++i) cases.push_back({k, {}, i});
   }
   return cases;
 }

@@ -188,6 +188,17 @@ bool poll_until(Pred&& pred, int timeout_ms) {
   return true;
 }
 
+// set_graph queues a cold landmark-table build on the rebuilder. A plan
+// with a fire budget is armed only once it has settled, so the budget goes
+// to the query under test rather than to the build.
+bool landmark_builds_settled(SsspService<uint32_t>& svc) {
+  const auto rep = svc.report();
+  if (rep.landmark_builds_pending > 0) return false;
+  for (const auto& t : rep.tenants)
+    if (t.oracle_status == LandmarkTableStatus::kBuilding) return false;
+  return true;
+}
+
 TEST(SupervisorRecovery, WedgedEngineIsKilledQuarantinedAndRebuilt) {
   const auto g = supervisor_graph();
   const auto oracle = dijkstra(g, VertexId{0});
@@ -205,6 +216,8 @@ TEST(SupervisorRecovery, WedgedEngineIsKilledQuarantinedAndRebuilt) {
 
   QueryOptions q;
   q.bypass_cache = true;
+  ASSERT_TRUE(poll_until([&] { return landmark_builds_settled(svc); }, 30000))
+      << "landmark table build never settled";
 
   // One dropped publication wedges exactly one solve's termination scan.
   fault::FaultPlan plan(7);

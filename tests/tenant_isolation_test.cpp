@@ -50,6 +50,18 @@ const TenantStatus* tenant_row(const ServiceReport& rep, uint64_t fp) {
   return nullptr;
 }
 
+// Publishing a graph queues a cold landmark-table build, and the build runs
+// in that tenant's fault domain. A plan with a fire budget is armed only
+// once the builds have settled, so the budget goes to the queries under
+// test rather than to a build still in flight.
+bool landmark_builds_settled(SsspService<uint32_t>& svc) {
+  const auto rep = svc.report();
+  if (rep.landmark_builds_pending > 0) return false;
+  for (const auto& t : rep.tenants)
+    if (t.oracle_status == LandmarkTableStatus::kBuilding) return false;
+  return true;
+}
+
 // ---- wedge containment -------------------------------------------------------
 
 TEST(TenantIsolation, WedgingTenantLeavesOthersHealthyAndServing) {
@@ -161,6 +173,8 @@ TEST(TenantIsolation, BreakerHalfOpensAfterCooldownAndClosesOnSuccess) {
 
   QueryOptions q;
   q.bypass_cache = true;
+  ASSERT_TRUE(poll_until([&] { return landmark_builds_settled(svc); }, 30000))
+      << "landmark table build never settled";
 
   {
     // Exactly one wedge: the fault is spent after the first solve, so the
